@@ -1,13 +1,14 @@
 //! Micro-benchmarks for the deployment inference paths (§4.1): f32 forward
 //! pass, quantized integer pass, sign-only decision, the joint-inference
-//! widths, and the batched group kernel against P scalar passes. The paper's
-//! headline is sub-microsecond quantized inference (0.05-0.12 µs depending
-//! on CPU); the batch lanes record their scalar-vs-batch throughput into
+//! widths, and the deployed decision cost for group widths P = 1..16. The
+//! paper's headline is sub-microsecond quantized inference (0.05-0.12 µs
+//! depending on CPU); the decision-cost lane records absolute ns per
+//! decision (P = 1) and per row (P > 1) next to that bar in
 //! `results/inference.run.json`.
 
 use heimdall_bench::report::{Json, RunReport};
 use heimdall_bench::timing::Group;
-use heimdall_nn::{BatchScratch, Mlp, MlpConfig, QuantizedMlp};
+use heimdall_nn::{Mlp, MlpConfig, QuantizedMlp};
 use std::hint::black_box;
 
 fn bench_inference() {
@@ -42,37 +43,29 @@ fn bench_joint_widths() {
     }
 }
 
-/// Scores P feature rows the scalar way (P independent weight sweeps) and
-/// through the batched kernel (one sweep), for the group widths of §4.2.
-/// The per-I/O cost ratio is the batching win; the decisions are bitwise
-/// identical, so the comparison is pure throughput.
-fn bench_batch_vs_scalar(report: &mut RunReport) {
+/// Absolute cost of the deployed sign-only decision: one row at P = 1, and
+/// per row for the group widths of §4.2 (P rows scored in one call).
+fn bench_decision_cost(report: &mut RunReport) {
     let quant = QuantizedMlp::quantize_paper(&Mlp::new(MlpConfig::heimdall(11), 7));
-    let g = Group::new("batch_vs_scalar");
-    for p in [2usize, 4, 8, 16] {
+    let g = Group::new("decision_cost");
+    for p in [1usize, 2, 4, 8, 16] {
         let rows: Vec<f32> = (0..p * 11).map(|i| (i % 13) as f32 * 0.07).collect();
-        let scalar_ns = g.bench(&format!("scalar/{p}"), || {
-            let rows = black_box(&rows);
-            let mut slow = 0u32;
-            for r in rows.chunks_exact(11) {
-                slow += quant.predict_slow(r) as u32;
-            }
-            slow
-        });
-        let mut scratch = BatchScratch::new();
         let mut out: Vec<bool> = Vec::with_capacity(p);
-        let batch_ns = g.bench(&format!("batch/{p}"), || {
-            out.clear();
-            quant.predict_slow_batch_into(black_box(&rows), &mut scratch, &mut out);
-            out.iter().filter(|&&d| d).count()
-        });
-        let speedup = scalar_ns / batch_ns;
-        println!("  batch_vs_scalar/speedup/{p}          {speedup:>10.2}x");
+        let group_ns = if p == 1 {
+            g.bench("single", || quant.predict_slow(black_box(&rows)))
+        } else {
+            g.bench(&format!("group/{p}"), || {
+                out.clear();
+                quant.predict_slow_batch_into(black_box(&rows), &mut out);
+                out.iter().filter(|&&d| d).count()
+            })
+        };
+        let row_ns = group_ns / p as f64;
+        println!("  decision_cost/ns_per_row/{p}          {row_ns:>10.1} ns");
         report.push(Json::obj([
             ("group_width", Json::from(p)),
-            ("scalar_ns_per_group", Json::from(scalar_ns)),
-            ("batch_ns_per_group", Json::from(batch_ns)),
-            ("speedup", Json::from(speedup)),
+            ("ns_per_group", Json::from(group_ns)),
+            ("ns_per_row", Json::from(row_ns)),
         ]));
     }
 }
@@ -84,7 +77,9 @@ fn main() {
     let mut report = RunReport::new("inference", 1);
     report.set("model", Json::from("heimdall-11"));
     report.set("quantization_scale", Json::from(1024u64));
-    bench_batch_vs_scalar(&mut report);
+    report.set("paper_ns_per_inference_low", Json::from(50u64));
+    report.set("paper_ns_per_inference_high", Json::from(120u64));
+    bench_decision_cost(&mut report);
     match report.write() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),

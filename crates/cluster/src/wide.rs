@@ -309,7 +309,7 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
                     let adm = admitters.as_mut().expect("heimdall admitters");
                     // Batch member decisions per primary OSD: stable-sort
                     // member indices by home so each OSD's group is scored
-                    // in a single weight-matrix sweep.
+                    // in one `decide_members` call.
                     order.clear();
                     order.extend(0..sf);
                     order.sort_by_key(|&i| members[i].primary);

@@ -9,7 +9,6 @@
 use crate::features::{FeatureSpec, HistEntry, History};
 use crate::pipeline::{FeatureKind, Trained};
 use heimdall_nn::scaler::digitize;
-use heimdall_nn::BatchScratch;
 use serde::{Deserialize, Serialize};
 
 /// Per-device online feature state.
@@ -108,15 +107,8 @@ impl DeviceRuntime {
 pub struct OnlineAdmitter {
     model: Trained,
     runtime: DeviceRuntime,
-    /// Batch-inference arena reused across [`OnlineAdmitter::decide_members`]
-    /// calls so the per-group hot path stays allocation-free.
-    scratch: BatchScratch,
-    batch_rows: Vec<f32>,
     /// Padded-size scratch for per-I/O use of joint models.
     sizes: Vec<u32>,
-    /// Single-decision staging for [`OnlineAdmitter::decide`] /
-    /// [`OnlineAdmitter::decide_group`].
-    verdicts: Vec<bool>,
 }
 
 /// Summary counters of an [`OnlineAdmitter`].
@@ -147,10 +139,7 @@ impl OnlineAdmitter {
         OnlineAdmitter {
             runtime: DeviceRuntime::new(depth),
             model,
-            scratch: BatchScratch::new(),
-            batch_rows: Vec::new(),
             sizes: Vec::new(),
-            verdicts: Vec::new(),
         }
     }
 
@@ -162,38 +151,26 @@ impl OnlineAdmitter {
     /// Decision for one request: `true` = decline (predicted slow).
     ///
     /// Admits unconditionally until the runtime has warmed up. Scores the
-    /// single row through the batched quantized engine (P = 1), which is
-    /// bitwise identical to the scalar path and keeps the hot loop free of
-    /// per-decision allocation — the feature row, activation planes, and
-    /// verdict all live in reused scratch.
+    /// single row through [`Trained::predict_slow`], whose scaling and
+    /// quantized kernel work in stack buffers, so the hot loop never
+    /// allocates — the feature row lives in reused runtime scratch.
     pub fn decide(&mut self, queue_len: u32, size: u32) -> bool {
         if !self.runtime.warmed_up() {
             return false;
         }
-        self.verdicts.clear();
-        match &self.model.kind {
-            FeatureKind::Spec(spec) => {
-                let row = self.runtime.raw_row(spec, queue_len, size);
-                self.model
-                    .predict_slow_batch_into(row, &mut self.scratch, &mut self.verdicts);
-            }
-            FeatureKind::LinnosDigitized => {
-                let row = self.runtime.linnos_row(queue_len);
-                self.model
-                    .predict_slow_batch_into(row, &mut self.scratch, &mut self.verdicts);
-            }
+        let row = match &self.model.kind {
+            FeatureKind::Spec(spec) => self.runtime.raw_row(spec, queue_len, size),
+            FeatureKind::LinnosDigitized => self.runtime.linnos_row(queue_len),
             FeatureKind::Joint { hist_depth, p } => {
                 // Per-I/O use of a joint model: treat as a group of one,
                 // padding the remaining slots with the same size.
                 let (hist_depth, p) = (*hist_depth, *p);
                 self.sizes.clear();
                 self.sizes.resize(p, size);
-                let row = self.runtime.joint_row(hist_depth, queue_len, &self.sizes);
-                self.model
-                    .predict_slow_batch_into(row, &mut self.scratch, &mut self.verdicts);
+                self.runtime.joint_row(hist_depth, queue_len, &self.sizes)
             }
-        }
-        self.verdicts[0]
+        };
+        self.model.predict_slow(row)
     }
 
     /// Joint decision for a group of requests (§4.2): one inference admits
@@ -211,23 +188,20 @@ impl OnlineAdmitter {
         if !self.runtime.warmed_up() {
             return false;
         }
-        self.verdicts.clear();
         let row = self.runtime.joint_row(hist_depth, queue_len, sizes);
-        self.model
-            .predict_slow_batch_into(row, &mut self.scratch, &mut self.verdicts);
-        self.verdicts[0]
+        self.model.predict_slow(row)
     }
 
     /// Per-member decisions for a group of requests sharing one queue
     /// snapshot, appended to `out` (`true` = decline).
     ///
-    /// For per-I/O ([`FeatureKind::Spec`]) models this stacks one feature
-    /// row per member and scores them all in a single sweep of the batched
-    /// quantized engine — each decision is bitwise identical to calling
-    /// [`OnlineAdmitter::decide`] per member. For queue-only LinnOS models
-    /// (size-independent) one decision is computed and broadcast; for joint
-    /// models the group-level [`OnlineAdmitter::decide_group`] verdict is
-    /// broadcast. Admits everything until the runtime has warmed up.
+    /// For per-I/O ([`FeatureKind::Spec`]) models each member's feature row
+    /// is scored against the shared snapshot — each decision is bitwise
+    /// identical to calling [`OnlineAdmitter::decide`] per member. For
+    /// queue-only LinnOS models (size-independent) one decision is computed
+    /// and broadcast; for joint models the group-level
+    /// [`OnlineAdmitter::decide_group`] verdict is broadcast. Admits
+    /// everything until the runtime has warmed up.
     ///
     /// # Panics
     ///
@@ -257,14 +231,10 @@ impl OnlineAdmitter {
         let FeatureKind::Spec(spec) = &self.model.kind else {
             unreachable!("non-spec kinds returned above")
         };
-        let mut rows = std::mem::take(&mut self.batch_rows);
-        rows.clear();
         for &size in sizes {
-            rows.extend_from_slice(self.runtime.raw_row(spec, queue_len, size));
+            let row = self.runtime.raw_row(spec, queue_len, size);
+            out.push(self.model.predict_slow(row));
         }
-        self.model
-            .predict_slow_batch_into(&rows, &mut self.scratch, out);
-        self.batch_rows = rows;
     }
 
     /// Feeds back a completed read.

@@ -17,7 +17,7 @@ use crate::labeling::{
 use crate::stage_cache::{stage_key_view, StageCache};
 use heimdall_metrics::MetricReport;
 use heimdall_nn::{
-    BatchScratch, ColumnStats, Dataset, Mlp, MlpConfig, QuantizedMlp, Scaler, ScalerKind, TrainOpts,
+    ColumnStats, Dataset, Mlp, MlpConfig, QuantizedMlp, Scaler, ScalerKind, TrainOpts,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -245,13 +245,28 @@ impl Trained {
     /// Probability of "slow" for one raw (unscaled) feature row, using the
     /// quantized deployment path.
     pub fn predict_raw(&self, raw_row: &[f32]) -> f32 {
-        let mut row = raw_row.to_vec();
-        if let Some(s) = &self.scaler {
-            s.transform_row(&mut row);
-        }
+        let Some(s) = &self.scaler else {
+            return self.predict_scaled(raw_row);
+        };
+        // Scale in a stack buffer; only unusually wide rows go to the heap.
+        let mut stack = [0f32; 64];
+        let mut heap = Vec::new();
+        let row = if raw_row.len() <= stack.len() {
+            &mut stack[..raw_row.len()]
+        } else {
+            heap.resize(raw_row.len(), 0.0);
+            &mut heap[..]
+        };
+        row.copy_from_slice(raw_row);
+        s.transform_row(row);
+        self.predict_scaled(row)
+    }
+
+    /// Probability of "slow" for one already-scaled row.
+    fn predict_scaled(&self, row: &[f32]) -> f32 {
         match &self.quantized {
-            Some(q) => q.predict(&row),
-            None => self.mlp.predict(&row),
+            Some(q) => q.predict(row),
+            None => self.mlp.predict(row),
         }
     }
 
@@ -260,68 +275,24 @@ impl Trained {
         self.predict_raw(raw_row) >= self.threshold
     }
 
-    /// Scores a row-major batch of raw (unscaled) feature rows in one
-    /// weight-matrix sweep of the quantized batch engine, appending each
-    /// row's slow-probability to `out`. Results are bitwise identical to
-    /// [`Trained::predict_raw`] per row; the f32 network serves unbatched
-    /// when the architecture was not quantizable.
+    /// Scores a row-major batch of raw (unscaled) feature rows, one
+    /// [`Trained::predict_raw`] per row.
     ///
     /// # Panics
     ///
     /// Panics if `rows.len()` is not a multiple of the input dimension.
-    pub fn predict_raw_batch_into(
-        &self,
-        rows: &[f32],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<f32>,
-    ) {
+    pub fn predict_raw_batch(&self, rows: &[f32]) -> Vec<f32> {
         let dim = self.mlp.config().input_dim;
         assert!(
             dim > 0 && rows.len().is_multiple_of(dim),
             "input dimensionality mismatch"
         );
-        let mut scaled = scratch.take_rows();
-        scaled.extend_from_slice(rows);
-        if let Some(s) = &self.scaler {
-            for row in scaled.chunks_mut(dim) {
-                s.transform_row(row);
-            }
-        }
-        match &self.quantized {
-            Some(q) => q.predict_batch_into(&scaled, scratch, out),
-            None => out.extend(scaled.chunks(dim).map(|row| self.mlp.predict(row))),
-        }
-        scratch.put_rows(scaled);
+        rows.chunks_exact(dim)
+            .map(|r| self.predict_raw(r))
+            .collect()
     }
 
-    /// Allocating wrapper over [`Trained::predict_raw_batch_into`].
-    pub fn predict_raw_batch(&self, rows: &[f32]) -> Vec<f32> {
-        let mut scratch = BatchScratch::new();
-        let mut out = Vec::new();
-        self.predict_raw_batch_into(rows, &mut scratch, &mut out);
-        out
-    }
-
-    /// Batched hard decisions at the calibrated threshold (`true` =
-    /// decline/reroute), one weight sweep for the whole group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of the input dimension.
-    pub fn predict_slow_batch_into(
-        &self,
-        rows: &[f32],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<bool>,
-    ) {
-        let mut scores = scratch.take_scores();
-        self.predict_raw_batch_into(rows, scratch, &mut scores);
-        out.extend(scores.iter().map(|&p| p >= self.threshold));
-        scratch.put_scores(scores);
-    }
-
-    /// Scores every row of a raw dataset through the batched quantized
-    /// path (bitwise identical to scoring row by row).
+    /// Scores every row of a raw dataset (see [`Trained::predict_raw_batch`]).
     pub fn predict_dataset(&self, data: &Dataset) -> Vec<f32> {
         self.predict_raw_batch(&data.x)
     }

@@ -1,215 +1,81 @@
 //! Batched fixed-point inference (§4.1/§4.2 deployment path).
 //!
-//! The scalar [`QuantizedMlp::logit`](crate::QuantizedMlp::logit) walks the
-//! weight matrix once per I/O; when admission is decided for a *group* of P
-//! requests (joint inference, §4.2) or a whole dataset is scored, that costs
-//! P full weight sweeps. The batched kernel here walks each weight row once
-//! and dots it against all P activation rows while the row is hot in cache,
-//! with a 4-way unrolled i32×i64 multiply-accumulate micro-kernel and a
-//! reusable double-buffered scratch arena so the hot path never allocates.
-//!
-//! Integer accumulation is exact, so re-associating the dot product (the
-//! unroll) cannot change the result: every logit produced here is **bitwise
-//! identical** to the scalar path — the differential harness in
-//! `tests/tests/diff.rs` holds the two paths to that contract.
+//! A group of P requests (joint inference, §4.2) or a whole dataset is
+//! scored row by row through the one quantized kernel,
+//! [`QuantizedMlp::logit`](crate::QuantizedMlp::logit): the whole network
+//! (about 15 KB for the paper's 11-input architecture) stays in L1 across
+//! rows, so a batch needs no activation planes of its own and every batched
+//! value is bitwise identical to the per-row call by construction. The
+//! differential harness in `tests/tests/diff.rs` holds both to the `i64`
+//! reference path, [`QuantizedMlp::logit_i64`](crate::QuantizedMlp::logit_i64).
 
-use crate::activation::sigmoid;
 use crate::quantized::QuantizedMlp;
 
-/// Reusable scratch arena for [`QuantizedMlp`] batch inference: two
-/// activation planes (current/next layer), double-buffered across layers.
-///
-/// Construct once per deployment site and pass to every `*_into` call; the
-/// buffers grow to the high-water mark of `batch × widest layer` and are
-/// never shrunk, so steady-state batches are allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    cur: Vec<i64>,
-    nxt: Vec<i64>,
-    /// f32 staging for logits/scores between the integer engine and the
-    /// caller's bool/threshold view.
-    logits: Vec<f32>,
-    /// f32 staging for scaler-transformed input rows.
-    scaled: Vec<f32>,
-}
-
-impl BatchScratch {
-    /// Creates an empty arena (buffers grow on first use).
-    pub fn new() -> BatchScratch {
-        BatchScratch::default()
-    }
-
-    /// Detaches the input-row staging buffer (cleared) for callers that
-    /// transform rows before batching; hand it back with
-    /// [`BatchScratch::put_rows`] so its capacity is reused. The batch
-    /// kernels never touch this buffer, so it stays valid across them.
-    pub fn take_rows(&mut self) -> Vec<f32> {
-        let mut v = std::mem::take(&mut self.scaled);
-        v.clear();
-        v
-    }
-
-    /// Returns a buffer obtained from [`BatchScratch::take_rows`].
-    pub fn put_rows(&mut self, v: Vec<f32>) {
-        self.scaled = v;
-    }
-
-    /// Detaches the score staging buffer (cleared); hand it back with
-    /// [`BatchScratch::put_scores`]. Valid across the batch kernels, which
-    /// use only the integer activation planes.
-    pub fn take_scores(&mut self) -> Vec<f32> {
-        let mut v = std::mem::take(&mut self.logits);
-        v.clear();
-        v
-    }
-
-    /// Returns a buffer obtained from [`BatchScratch::take_scores`].
-    pub fn put_scores(&mut self, v: Vec<f32>) {
-        self.logits = v;
-    }
-}
-
-/// 4-way unrolled quantized dot product. i64 addition is exact, so the
-/// re-association is bit-compatible with sequential accumulation.
-#[inline]
-fn dot_q(w: &[i32], a: &[i64]) -> i64 {
-    debug_assert_eq!(w.len(), a.len());
-    let mut wc = w.chunks_exact(4);
-    let mut ac = a.chunks_exact(4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0i64, 0i64, 0i64, 0i64);
-    for (wq, aq) in (&mut wc).zip(&mut ac) {
-        s0 += wq[0] as i64 * aq[0];
-        s1 += wq[1] as i64 * aq[1];
-        s2 += wq[2] as i64 * aq[2];
-        s3 += wq[3] as i64 * aq[3];
-    }
-    let mut tail = 0i64;
-    for (&wq, &aq) in wc.remainder().iter().zip(ac.remainder()) {
-        tail += wq as i64 * aq;
-    }
-    s0 + s1 + s2 + s3 + tail
-}
-
 impl QuantizedMlp {
-    /// Widest activation plane any layer of this network produces.
-    fn max_width(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.in_dim.max(l.out_dim))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Raw dequantized output logits for a row-major batch of (already
-    /// scaled) f32 feature rows, appended to `out`.
-    ///
-    /// `rows` holds `P × input_dim` values; each of the P logits is bitwise
-    /// identical to [`QuantizedMlp::logit`] on the corresponding row.
+    /// Splits a row-major batch into rows of the input dimension.
     ///
     /// # Panics
     ///
     /// Panics if `rows.len()` is not a multiple of the input dimension.
-    pub fn logit_batch_into(&self, rows: &[f32], scratch: &mut BatchScratch, out: &mut Vec<f32>) {
+    fn batch_rows<'a>(&self, rows: &'a [f32]) -> std::slice::ChunksExact<'a, f32> {
         let dim = self.input_dim();
         assert!(
             dim > 0 && rows.len().is_multiple_of(dim),
             "input dimensionality mismatch"
         );
-        let p = rows.len() / dim;
-        if p == 0 {
-            return;
-        }
-        let s = self.scale as i64;
-        let width = self.max_width();
-        scratch.cur.clear();
-        scratch
-            .cur
-            .extend(rows.iter().map(|&v| (v * self.scale as f32).round() as i64));
-        // Both planes must hold the widest layer: after the first swap the
-        // input plane becomes the write target for the next layer's outputs.
-        scratch.cur.resize(p * width, 0);
-        scratch.nxt.resize(p * width, 0);
-        let mut in_dim = dim;
-        for layer in &self.layers {
-            // Weight-row-major sweep: each weight row is loaded once and
-            // dotted against every member's activation row while hot.
-            for o in 0..layer.out_dim {
-                let wrow = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                let bias = layer.b[o];
-                for r in 0..p {
-                    let arow = &scratch.cur[r * in_dim..r * in_dim + layer.in_dim];
-                    let acc = bias + dot_q(wrow, arow);
-                    // Rescale from scale² to scale (matches the scalar path).
-                    let z = acc / s;
-                    let y = if z >= 0 { z } else { z * layer.neg_slope_q / s };
-                    scratch.nxt[r * layer.out_dim + o] = y;
-                }
-            }
-            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
-            in_dim = layer.out_dim;
-        }
-        out.extend((0..p).map(|r| scratch.cur[r * in_dim] as f32 / self.scale as f32));
+        rows.chunks_exact(dim)
     }
 
-    /// Slow-probabilities for a row-major batch, appended to `out`; each
-    /// value is bitwise identical to [`QuantizedMlp::predict`] on the row.
+    /// Raw dequantized output logits for a row-major batch of (already
+    /// scaled) f32 feature rows, appended to `out`; each is
+    /// [`QuantizedMlp::logit`] of its row.
     ///
     /// # Panics
     ///
     /// Panics if `rows.len()` is not a multiple of the input dimension.
-    pub fn predict_batch_into(&self, rows: &[f32], scratch: &mut BatchScratch, out: &mut Vec<f32>) {
-        let start = out.len();
-        self.logit_batch_into(rows, scratch, out);
-        for z in &mut out[start..] {
-            *z = if self.sigmoid_output {
-                sigmoid(*z)
-            } else {
-                z.clamp(0.0, 1.0)
-            };
-        }
+    pub fn logit_batch_into(&self, rows: &[f32], out: &mut Vec<f32>) {
+        out.extend(self.batch_rows(rows).map(|r| self.logit(r)));
+    }
+
+    /// Slow-probabilities for a row-major batch, appended to `out`; each is
+    /// [`QuantizedMlp::predict`] of its row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of the input dimension.
+    pub fn predict_batch_into(&self, rows: &[f32], out: &mut Vec<f32>) {
+        out.extend(self.batch_rows(rows).map(|r| self.predict(r)));
     }
 
     /// Hard decisions (`true` = predicted slow) for a row-major batch,
-    /// appended to `out` — the sign-only deployed path, one weight-matrix
-    /// sweep for the whole group.
+    /// appended to `out` — the sign-only deployed path.
     ///
     /// # Panics
     ///
     /// Panics if `rows.len()` is not a multiple of the input dimension.
-    pub fn predict_slow_batch_into(
-        &self,
-        rows: &[f32],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<bool>,
-    ) {
-        let mut logits = scratch.take_scores();
-        self.logit_batch_into(rows, scratch, &mut logits);
-        out.extend(logits.iter().map(|&z| z >= 0.0));
-        scratch.put_scores(logits);
+    pub fn predict_slow_batch_into(&self, rows: &[f32], out: &mut Vec<bool>) {
+        out.extend(self.batch_rows(rows).map(|r| self.predict_slow(r)));
     }
 
     /// Allocating convenience wrapper over [`QuantizedMlp::logit_batch_into`].
     pub fn logit_batch(&self, rows: &[f32]) -> Vec<f32> {
-        let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
-        self.logit_batch_into(rows, &mut scratch, &mut out);
+        self.logit_batch_into(rows, &mut out);
         out
     }
 
     /// Allocating convenience wrapper over [`QuantizedMlp::predict_batch_into`].
     pub fn predict_batch(&self, rows: &[f32]) -> Vec<f32> {
-        let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
-        self.predict_batch_into(rows, &mut scratch, &mut out);
+        self.predict_batch_into(rows, &mut out);
         out
     }
 
     /// Allocating convenience wrapper over
     /// [`QuantizedMlp::predict_slow_batch_into`].
     pub fn predict_slow_batch(&self, rows: &[f32]) -> Vec<bool> {
-        let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
-        self.predict_slow_batch_into(rows, &mut scratch, &mut out);
+        self.predict_slow_batch_into(rows, &mut out);
         out
     }
 }
@@ -257,8 +123,8 @@ mod tests {
             let batch = q.logit_batch(&rows);
             assert_eq!(batch.len(), p);
             for (r, &z) in batch.iter().enumerate() {
-                let scalar = q.logit(&rows[r * 5..(r + 1) * 5]);
-                assert_eq!(z.to_bits(), scalar.to_bits(), "row {r} of batch {p}");
+                let oracle = q.logit_i64(&rows[r * 5..(r + 1) * 5]);
+                assert_eq!(z.to_bits(), oracle.to_bits(), "row {r} of batch {p}");
             }
         }
     }
@@ -278,21 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_reusable_across_batch_sizes() {
-        let q = trained(3, 5);
-        let mut scratch = BatchScratch::new();
-        let mut rng = Rng64::new(6);
-        for p in [8usize, 1, 5, 2] {
-            let rows: Vec<f32> = (0..p * 3).map(|_| rng.f32()).collect();
-            let mut out = Vec::new();
-            q.logit_batch_into(&rows, &mut scratch, &mut out);
-            for (r, &z) in out.iter().enumerate() {
-                assert_eq!(z.to_bits(), q.logit(&rows[r * 3..(r + 1) * 3]).to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn empty_batch_is_empty() {
         let q = trained(3, 7);
         assert!(q.predict_batch(&[]).is_empty());
@@ -302,9 +153,8 @@ mod tests {
     #[test]
     fn into_variants_append_without_clearing() {
         let q = trained(3, 8);
-        let mut scratch = BatchScratch::new();
         let mut out = vec![9.0f32];
-        q.predict_batch_into(&[0.1, 0.2, 0.3], &mut scratch, &mut out);
+        q.predict_batch_into(&[0.1, 0.2, 0.3], &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], 9.0);
     }
@@ -313,16 +163,5 @@ mod tests {
     #[should_panic(expected = "input dimensionality mismatch")]
     fn ragged_row_length_panics() {
         trained(3, 9).logit_batch(&[0.1, 0.2]);
-    }
-
-    #[test]
-    fn dot_q_matches_sequential() {
-        let mut rng = Rng64::new(10);
-        for len in [0usize, 1, 3, 4, 5, 11, 128] {
-            let w: Vec<i32> = (0..len).map(|_| rng.next_u64() as i32 % 2048).collect();
-            let a: Vec<i64> = (0..len).map(|_| rng.next_u64() as i64 % 4096).collect();
-            let seq: i64 = w.iter().zip(&a).map(|(&wq, &aq)| wq as i64 * aq).sum();
-            assert_eq!(dot_q(&w, &a), seq, "len {len}");
-        }
     }
 }

@@ -31,7 +31,6 @@ pub mod rnn;
 pub mod scaler;
 
 pub use activation::Activation;
-pub use batch::BatchScratch;
 pub use data::Dataset;
 pub use mlp::{dot_f32, Mlp, MlpConfig, Optimizer, OutputLayer, TrainOpts, TrainStats};
 pub use quantized::{QuantizedMlp, PAPER_SCALE};

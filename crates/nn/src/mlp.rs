@@ -267,7 +267,7 @@ impl OptState {
 /// Minibatch training scratch: row-major `B × width` planes for the
 /// gathered inputs, pre-activations, activations and deltas, allocated
 /// once per training run and reused by every batch (no per-sample
-/// allocation) — the training-side counterpart of `batch::BatchScratch`.
+/// allocation).
 struct TrainScratch {
     /// Gathered input rows, `B × input_dim`.
     xb: Vec<f32>,

@@ -146,11 +146,11 @@ impl HeimdallPolicy {
 
     /// Enables batched group admission for per-I/O models: the next `p`
     /// reads homed on a device are decided together, one feature row per
-    /// member scored in a single sweep of the batched quantized engine.
+    /// member, all scored against the same queue snapshot.
     ///
     /// Unlike joint inference this keeps one decision *per member* (each
     /// member still costs one model row, so `inferences` accounting is
-    /// unchanged); the batching only amortizes the weight-matrix traffic.
+    /// unchanged).
     ///
     /// # Panics
     ///
@@ -196,13 +196,12 @@ impl Policy for HeimdallPolicy {
             self.inferences += 1;
             self.admitters[primary].decide(views[primary].queue_len, req.size)
         } else {
-            // Group admission: one batched sweep decides the whole group.
+            // Group admission: one batched call decides the whole group.
             // The cache is per home device — interleaved reads for another
             // home run their own group and never consume this one.
             if self.groups[primary].exhausted() {
                 // Joint models spend one inference per group; per-I/O
-                // models still score one row per member (batching only
-                // amortizes the weight-matrix traffic).
+                // models still score one row per member.
                 self.inferences += if self.joint > 1 { 1 } else { self.group as u64 };
                 self.sizes.clear();
                 self.sizes.resize(self.group, req.size);

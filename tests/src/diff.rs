@@ -1,13 +1,15 @@
-//! Differential-testing harness for the three inference paths.
+//! Differential-testing harness for the inference paths.
 //!
-//! Replays the same feature stream through the float [`Mlp`], the scalar
-//! [`QuantizedMlp`] path, and the batched kernel, and checks the two
+//! Replays the same feature stream through the float [`Mlp`], the deployed
+//! quantized kernel (per row and batched), and the kernel's `i64`
+//! reference arithmetic ([`QuantizedMlp::logit_i64`]), and checks the two
 //! contracts the deployment stack rests on (§4.1):
 //!
-//! 1. **Batch ≡ scalar, bitwise.** Integer accumulation is exact, so the
-//!    batched weight-sweep must reproduce the scalar quantized logits bit
-//!    for bit — any mismatch is a kernel bug, counted (never tolerated) in
-//!    [`DiffReport::batch_bitwise_mismatches`].
+//! 1. **Kernel ≡ i64 reference, bitwise.** The kernel runs rows on `i32`
+//!    lanes only where that provably computes the same integers, so its
+//!    logits and probabilities, per row and batched, must reproduce the
+//!    `i64` path bit for bit — any mismatch is a kernel bug, counted (never
+//!    tolerated) in [`DiffReport::kernel_bitwise_mismatches`].
 //! 2. **Quantized ≈ float.** ×1024 quantization may drift the probability a
 //!    little and may flip a decision only when the float probability sits
 //!    essentially on the threshold. The report carries the observed
@@ -17,7 +19,8 @@
 //! The harness is a library (not a `#[test]`) so the integration tests,
 //! benches, and future fuzz drivers can share one replay loop.
 
-use heimdall_nn::{BatchScratch, Mlp, MlpConfig, OutputLayer, QuantizedMlp};
+use heimdall_nn::activation::sigmoid;
+use heimdall_nn::{Mlp, MlpConfig, OutputLayer, QuantizedMlp};
 use heimdall_trace::rng::Rng64;
 
 /// Differential-run parameters.
@@ -52,9 +55,9 @@ pub struct DiffReport {
     pub models: usize,
     /// Total feature rows scored (per path).
     pub rows: u64,
-    /// Batched logits or probabilities that failed bitwise equality with
-    /// the scalar quantized path. Must be zero.
-    pub batch_bitwise_mismatches: u64,
+    /// Kernel logits or probabilities (per row or batched) that failed
+    /// bitwise equality with the `i64` reference. Must be zero.
+    pub kernel_bitwise_mismatches: u64,
     /// Rows where the quantized decision matched the float decision.
     pub decision_agreements: u64,
     /// Largest `|float probability - quantized probability|` observed.
@@ -101,19 +104,25 @@ pub fn random_stream(seed: u64, rows: usize, dim: usize) -> Vec<f32> {
         .collect()
 }
 
+/// The reference probability for a row: the sigmoid of the `i64` path's
+/// logit (every network [`QuantizedMlp::quantize_paper`] builds has a
+/// sigmoid output).
+pub fn reference_probability(quant: &QuantizedMlp, row: &[f32]) -> f32 {
+    sigmoid(quant.logit_i64(row))
+}
+
 /// Replays `cfg.models` randomized models over seeded streams, scoring
-/// every row through all three paths.
+/// every row through every path.
 ///
 /// Batch widths cycle `1..=max_batch` across the stream and the final
 /// chunk is whatever ragged tail remains, so every width is hit. The
-/// scratch arena is reused across batches and models, mirroring a deployed
-/// admission loop.
+/// output buffers are reused across batches and models, mirroring a
+/// deployed admission loop.
 pub fn run_diff(cfg: &DiffConfig) -> DiffReport {
     let mut report = DiffReport {
         models: cfg.models,
         ..DiffReport::default()
     };
-    let mut scratch = BatchScratch::new();
     let mut batch_logits: Vec<f32> = Vec::new();
     let mut batch_probs: Vec<f32> = Vec::new();
     for m in 0..cfg.models {
@@ -129,25 +138,29 @@ pub fn run_diff(cfg: &DiffConfig) -> DiffReport {
             let rows = &stream[offset * dim..(offset + p) * dim];
             batch_logits.clear();
             batch_probs.clear();
-            quant.logit_batch_into(rows, &mut scratch, &mut batch_logits);
-            quant.predict_batch_into(rows, &mut scratch, &mut batch_probs);
+            quant.logit_batch_into(rows, &mut batch_logits);
+            quant.predict_batch_into(rows, &mut batch_probs);
             for (r, row) in rows.chunks_exact(dim).enumerate() {
                 report.rows += 1;
-                // Path 1 vs 2: batched vs scalar quantized, bitwise.
-                let scalar_logit = quant.logit(row);
-                let scalar_prob = quant.predict(row);
-                if batch_logits[r].to_bits() != scalar_logit.to_bits()
-                    || batch_probs[r].to_bits() != scalar_prob.to_bits()
+                // Kernel (batched and per row) vs i64 reference, bitwise.
+                let ref_logit = quant.logit_i64(row);
+                let ref_prob = reference_probability(&quant, row);
+                if [batch_logits[r], quant.logit(row)]
+                    .iter()
+                    .any(|z| z.to_bits() != ref_logit.to_bits())
+                    || [batch_probs[r], quant.predict(row)]
+                        .iter()
+                        .any(|p| p.to_bits() != ref_prob.to_bits())
                 {
-                    report.batch_bitwise_mismatches += 1;
+                    report.kernel_bitwise_mismatches += 1;
                 }
-                // Path 2 vs 3: quantized vs float, statistical.
+                // Quantized vs float, statistical.
                 let float_prob = mlp.predict(row);
-                let drift = (float_prob - scalar_prob).abs();
+                let drift = (float_prob - ref_prob).abs();
                 if drift > report.max_probability_drift {
                     report.max_probability_drift = drift;
                 }
-                if (float_prob >= 0.5) == (scalar_prob >= 0.5) {
+                if (float_prob >= 0.5) == (ref_prob >= 0.5) {
                     report.decision_agreements += 1;
                 }
             }

@@ -1,20 +1,21 @@
-//! Differential tests for the three inference paths (float, scalar
-//! quantized, batched quantized), built on the shared harness in
-//! `heimdall_integration::diff`.
+//! Differential tests for the inference paths (float, quantized kernel per
+//! row and batched, and the kernel's `i64` reference arithmetic), built on
+//! the shared harness in `heimdall_integration::diff`.
 
-use heimdall_integration::diff::{random_model, random_stream, run_diff, DiffConfig};
-use heimdall_nn::BatchScratch;
+use heimdall_integration::diff::{
+    random_model, random_stream, reference_probability, run_diff, DiffConfig,
+};
 
 /// The headline differential run: dozens of randomized models, every batch
-/// width from 1 to 32 including ragged tails, three paths per row.
+/// width from 1 to 32 including ragged tails, every path per row.
 #[test]
 fn differential_harness_holds_all_three_paths_together() {
     let report = run_diff(&DiffConfig::default());
     assert_eq!(report.models, 24);
     assert!(report.rows >= 24 * 192, "harness must score every row");
     assert_eq!(
-        report.batch_bitwise_mismatches, 0,
-        "batched quantized inference must be bitwise identical to scalar"
+        report.kernel_bitwise_mismatches, 0,
+        "quantized kernel must be bitwise identical to the i64 reference"
     );
     assert!(
         report.decision_agreement() >= 0.99,
@@ -29,23 +30,22 @@ fn differential_harness_holds_all_three_paths_together() {
 }
 
 /// Property: for seeded random models, `predict_batch` is bitwise identical
-/// to scalar `predict` for every batch size 1..=32, including ragged tails
-/// carved off a longer stream.
+/// to the `i64` reference for every batch size 1..=32, including ragged
+/// tails carved off a longer stream.
 #[test]
 fn predict_batch_bitwise_matches_scalar_for_all_widths() {
     for model_seed in 0..24u64 {
         let (_, quant) = random_model(model_seed);
         let dim = quant.input_dim();
-        let mut scratch = BatchScratch::new();
         for p in 1..=32usize {
             let stream = random_stream(model_seed ^ (p as u64) << 8, p, dim);
             let mut probs = Vec::new();
-            quant.predict_batch_into(&stream, &mut scratch, &mut probs);
+            quant.predict_batch_into(&stream, &mut probs);
             assert_eq!(probs.len(), p);
             for (r, row) in stream.chunks_exact(dim).enumerate() {
                 assert_eq!(
                     probs[r].to_bits(),
-                    quant.predict(row).to_bits(),
+                    reference_probability(&quant, row).to_bits(),
                     "model {model_seed}, batch {p}, row {r}"
                 );
             }
@@ -55,7 +55,7 @@ fn predict_batch_bitwise_matches_scalar_for_all_widths() {
 
 /// Property: ragged tails — a stream that is not a multiple of the batch
 /// width is scored in full-width chunks plus a short tail, and every row
-/// still matches the scalar path bitwise.
+/// still matches the `i64` reference bitwise.
 #[test]
 fn ragged_tail_chunks_match_scalar() {
     for model_seed in [3u64, 7, 11] {
@@ -63,17 +63,16 @@ fn ragged_tail_chunks_match_scalar() {
         let dim = quant.input_dim();
         let rows = 53usize; // prime: every width below leaves a ragged tail
         let stream = random_stream(model_seed, rows, dim);
-        let mut scratch = BatchScratch::new();
         for width in [2usize, 5, 8, 17, 32] {
             let mut probs = Vec::new();
             for chunk in stream.chunks(width * dim) {
-                quant.predict_batch_into(chunk, &mut scratch, &mut probs);
+                quant.predict_batch_into(chunk, &mut probs);
             }
             assert_eq!(probs.len(), rows);
             for (r, row) in stream.chunks_exact(dim).enumerate() {
                 assert_eq!(
                     probs[r].to_bits(),
-                    quant.predict(row).to_bits(),
+                    reference_probability(&quant, row).to_bits(),
                     "model {model_seed}, width {width}, row {r}"
                 );
             }

@@ -8,16 +8,16 @@
 //!
 //! The catalog is metamorphic/differential where the workspace keeps a
 //! fast path and a reference path (event queue, trace merge, radix
-//! recorder, batched quantized inference, bulk scaling, threshold tuner,
-//! parallel sweeps, model-zoo batched prediction, columnar featurization,
-//! history ring) and law-based where it models physics or math (replay
-//! read conservation, fault-window causality, validation classification,
-//! tied-rank ROC AUC).
+//! recorder, quantized kernel vs its i64 path and the soundness of its i32
+//! bound, bulk scaling, threshold tuner, parallel sweeps, model-zoo batched
+//! prediction, columnar featurization, history ring) and law-based where it
+//! models physics or math (replay read conservation, fault-window
+//! causality, validation classification, tied-rank ROC AUC).
 
 use heimdall_cluster::replayer::{merge_homed, merge_homed_reference, replay_homed, HomedRequest};
 use heimdall_cluster::train::fresh_devices_with_plans;
 use heimdall_cluster::EventQueue;
-use heimdall_integration::diff::{random_model, random_stream};
+use heimdall_integration::diff::{random_model, random_stream, reference_probability};
 use heimdall_integration::gen::random_trace;
 use heimdall_integration::prop::{check, tuple2, tuple3, u64_in, usize_in, vec_of, Config};
 use heimdall_metrics::{roc_auc, LatencyRecorder};
@@ -270,9 +270,10 @@ fn prop_latency_recorder_matches_sort_model() {
     );
 }
 
-/// Property 4: Batched quantized inference is bitwise-identical to the scalar path
-/// for ragged widths and adversarial weights (amplified, sign-flipped,
-/// zeroed) that random initialization never produces.
+/// Property 4: Quantized inference — per row and batched, logit,
+/// probability and sign decision — is bitwise-identical to the `i64`
+/// reference path for ragged widths and adversarial weights (amplified,
+/// sign-flipped, zeroed) that random initialization never produces.
 #[test]
 fn prop_quantized_batch_matches_scalar_under_adversarial_weights() {
     let strat = tuple3(
@@ -286,7 +287,9 @@ fn prop_quantized_batch_matches_scalar_under_adversarial_weights() {
         &strat,
         |&(model_seed, amp_idx, (stream_seed, rows))| {
             // Bounded amplification: ×16 keeps the i64 accumulators far
-            // from overflow while still leaving the float path's regime.
+            // from overflow. ×4 and ×16 also shrink the i32 input bound so
+            // far that nearly every row takes the i64 fallback, while the
+            // ×1, −1 and ×0 rows run on i32 lanes.
             let amps: [f32; 5] = [1.0, -1.0, 4.0, 16.0, 0.0];
             let (mut mlp, _) = random_model(model_seed);
             let amp = amps[amp_idx as usize];
@@ -298,18 +301,24 @@ fn prop_quantized_batch_matches_scalar_under_adversarial_weights() {
             let batch_logits = q.logit_batch(&stream);
             let batch_slow = q.predict_slow_batch(&stream);
             for (r, row) in stream.chunks_exact(dim).enumerate() {
-                if batch_probs[r].to_bits() != q.predict(row).to_bits() {
-                    return Err(format!(
-                        "predict row {r}/{rows} diverged: batch {} vs scalar {} (amp {amp})",
-                        batch_probs[r],
-                        q.predict(row)
-                    ));
+                let logit = q.logit_i64(row);
+                let prob = reference_probability(&q, row);
+                for (path, p) in [("batch", batch_probs[r]), ("row", q.predict(row))] {
+                    if p.to_bits() != prob.to_bits() {
+                        return Err(format!(
+                            "{path} predict row {r}/{rows} diverged: {p} vs i64 {prob} (amp {amp})"
+                        ));
+                    }
                 }
-                if batch_logits[r].to_bits() != q.logit(row).to_bits() {
-                    return Err(format!("logit row {r} diverged (amp {amp})"));
+                for (path, z) in [("batch", batch_logits[r]), ("row", q.logit(row))] {
+                    if z.to_bits() != logit.to_bits() {
+                        return Err(format!("{path} logit row {r} diverged (amp {amp})"));
+                    }
                 }
-                if batch_slow[r] != q.predict_slow(row) {
-                    return Err(format!("predict_slow row {r} diverged (amp {amp})"));
+                for (path, slow) in [("batch", batch_slow[r]), ("row", q.predict_slow(row))] {
+                    if slow != (logit >= 0.0) {
+                        return Err(format!("{path} predict_slow row {r} diverged (amp {amp})"));
+                    }
                 }
             }
             Ok(())
@@ -962,5 +971,169 @@ fn prop_history_ring_matches_vecdeque_model() {
             }
             Ok(())
         },
+    );
+}
+
+/// Property 16: The `i32` input bound is sound. For adversarial networks —
+/// leaky, PReLU, linear and negative-slope hidden layers, amplified and
+/// bias-shifted weights (some past the point where no input fits, some
+/// wider than the `i32` kernel's planes) — and rows holding quantized
+/// values just below, at, just above and far beyond
+/// [`QuantizedMlp::i32_input_bound`], NaN and ±∞, the dispatched logit,
+/// probability and decision, per row and batched, are bitwise equal to the
+/// `i64` path. The generator is checked to reach both paths.
+#[test]
+fn prop_i32_input_bound_is_sound() {
+    use heimdall_nn::{Activation, Mlp, MlpConfig, OutputLayer};
+    use std::cell::Cell;
+    let strat = tuple3(
+        u64_in(0..=1 << 40),
+        tuple2(u64_in(0..=4), u64_in(0..=5)),
+        tuple2(u64_in(0..=1 << 40), usize_in(1..=24)),
+    );
+    // Rows seen on each side of the bound, across all cases.
+    let paths = Cell::new((0u64, 0u64));
+    check(
+        "prop_i32_input_bound_is_sound",
+        &Config::seeded(0x10),
+        &strat,
+        |&(model_seed, (act_idx, tweak_idx), (stream_seed, rows))| {
+            let acts = [
+                Activation::ReLU,
+                Activation::LeakyReLU(0.01),
+                Activation::PReLU(0.25),
+                Activation::Linear,
+                Activation::LeakyReLU(-3.0),
+            ];
+            // (weight multiplier, additive shift): the last two leave no
+            // input inside the bound (biases × 1024² overflow the margin).
+            let tweaks: [(f32, f32); 6] = [
+                (1.0, 0.0),
+                (-1.0, 0.0),
+                (16.0, 0.0),
+                (256.0, 0.25),
+                (1.0, 3000.0),
+                (-64.0, -2500.0),
+            ];
+            let mut rng = Rng64::new(model_seed);
+            let act = acts[act_idx as usize];
+            // One-neuron layers make the worst case of the bound reachable
+            // (a single chain of accumulators), so a loosened bound shows.
+            let width = |rng: &mut Rng64, max: u64| {
+                if rng.below(3) == 0 {
+                    1
+                } else {
+                    1 + rng.below(max) as usize
+                }
+            };
+            let cfg = MlpConfig {
+                input_dim: 1 + rng.below(16) as usize,
+                hidden: vec![(width(&mut rng, 300), act), (width(&mut rng, 16), act)],
+                output: if model_seed % 3 == 2 {
+                    OutputLayer::Softmax2
+                } else {
+                    OutputLayer::Sigmoid
+                },
+            };
+            let mut mlp = Mlp::new(cfg, rng.next_u64());
+            let (mul, shift) = tweaks[tweak_idx as usize];
+            mlp.map_params(|w| w * mul + shift);
+            let q = QuantizedMlp::quantize_paper(&mlp);
+            let dim = q.input_dim();
+            let bound = q.i32_input_bound();
+            // Values whose quantization lands at `bound + d`, either sign.
+            let near = |d: i64, neg: bool| {
+                let v = (i64::from(bound.unwrap_or(1 << 20)) + d) as f32 / 1024.0;
+                if neg {
+                    -v
+                } else {
+                    v
+                }
+            };
+            // Inputs at the bound with the signs of the first-layer neuron
+            // with the largest Σ|w| drive its accumulator to the worst case
+            // (weights are row-major `[out][in]` in `flat_params`).
+            let params = mlp.flat_params();
+            let hidden = mlp.config().hidden[0].0;
+            let heaviest = params[..hidden * dim]
+                .chunks_exact(dim)
+                .map(|w| w.iter().map(|w| w.abs()).sum::<f64>())
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .map_or(0, |(o, _)| o);
+            let mut rng = Rng64::new(stream_seed);
+            let mut stream = random_stream(stream_seed, rows, dim);
+            for row in stream.chunks_exact_mut(dim) {
+                let neg = rng.below(2) == 1;
+                let k = rng.below(dim as u64) as usize;
+                match rng.below(9) {
+                    8 => {
+                        let w = &params[heaviest * dim..(heaviest + 1) * dim];
+                        for (v, &w) in row.iter_mut().zip(w) {
+                            *v = near(0, (w < 0.0) != neg);
+                        }
+                    }
+                    0 => {}
+                    1 => row[k] = near(-1, neg),
+                    2 => row[k] = near(0, neg),
+                    3 => row[k] = near(1, neg),
+                    4 => row[k] = near(0, neg) * [1e3, 1e30][rng.below(2) as usize],
+                    5 => {
+                        row[k] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.below(3) as usize]
+                    }
+                    // Every input at the bound: the largest accumulators.
+                    6 => row.iter_mut().for_each(|v| *v = near(0, rng.below(2) == 1)),
+                    _ => row.iter_mut().for_each(|v| *v = near(0, neg)),
+                }
+            }
+            let batch_logits = q.logit_batch(&stream);
+            let batch_probs = q.predict_batch(&stream);
+            let batch_slow = q.predict_slow_batch(&stream);
+            for (r, row) in stream.chunks_exact(dim).enumerate() {
+                let on_i32 = bound.is_some_and(|b| {
+                    row.iter()
+                        .all(|&v| ((v * 1024.0).round() as i64).unsigned_abs() <= u64::from(b))
+                });
+                let (i32_rows, i64_rows) = paths.get();
+                paths.set(if on_i32 {
+                    (i32_rows + 1, i64_rows)
+                } else {
+                    (i32_rows, i64_rows + 1)
+                });
+                let logit = q.logit_i64(row);
+                let prob = reference_probability(&q, row);
+                let path = if on_i32 { "i32" } else { "i64" };
+                if [batch_logits[r], q.logit(row)]
+                    .iter()
+                    .any(|z| z.to_bits() != logit.to_bits())
+                {
+                    return Err(format!(
+                        "{path} row {r} logit diverged from i64 {logit} (bound {bound:?}, row {row:?})"
+                    ));
+                }
+                if [batch_probs[r], q.predict(row)]
+                    .iter()
+                    .any(|p| p.to_bits() != prob.to_bits())
+                {
+                    return Err(format!(
+                        "{path} row {r} probability diverged (bound {bound:?})"
+                    ));
+                }
+                if [batch_slow[r], q.predict_slow(row)]
+                    .iter()
+                    .any(|&slow| slow != (logit >= 0.0))
+                {
+                    return Err(format!(
+                        "{path} row {r} decision diverged (bound {bound:?})"
+                    ));
+                }
+            }
+            Ok(())
+        },
+    );
+    let (i32_rows, i64_rows) = paths.get();
+    assert!(
+        i32_rows > 100 && i64_rows > 100,
+        "generator must reach both paths: {i32_rows} i32 rows, {i64_rows} i64 rows"
     );
 }
